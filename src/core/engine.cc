@@ -305,7 +305,7 @@ Engine::QueryAnswer Engine::Query(std::string_view query_text) {
     return MagicRewrite(store_, program_, *parsed, rewrite_options);
   }();
   MagicEvalResult result =
-      EvaluateMagic(store_, magic, options_.magic, &edb_facts_base_.facts());
+      EvaluateMagic(store_, magic, options_.magic, &edb_facts_base_);
   if (!result.error.empty()) {
     answer.ok = false;
     answer.cancelled = result.cancelled;

@@ -237,8 +237,9 @@ class Engine {
   obs::MetricsRegistry metrics_;
   std::unique_ptr<obs::TraceBuffer> trace_;
   // Per-program EDB cache for magic queries: fact-only predicate names
-  // and their facts, preloaded into the evaluator so a query's cost does
-  // not scale with the EDB. Invalidated explicitly by Load/LoadMore (a
+  // and their facts, which the magic evaluator probes in place (frozen:
+  // its key columns are built once, not per query) so a query's cost
+  // does not scale with the EDB. Invalidated explicitly by Load/LoadMore (a
   // same-size reload must not serve stale facts); ApplyDelta maintains it
   // in place when the delta stays within known EDB relations, else
   // invalidates. A FactBase rather than a plain vector so retraction can

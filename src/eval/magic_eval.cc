@@ -1,5 +1,7 @@
 #include "src/eval/magic_eval.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <unordered_map>
 #include <unordered_set>
@@ -16,16 +18,19 @@ namespace hilog {
 namespace {
 
 // Fact store that admits non-ground facts, deduplicating up to variable
-// renaming. Ground facts live in a shared argument-indexed FactBase (the
-// same discrimination index the bottom-up evaluators join through);
-// non-ground facts — rare, produced only by unsafe rewritten rules — stay
-// in small per-name side buckets.
+// renaming. Derived ground facts live in an argument-indexed FactBase (the
+// same discrimination index the bottom-up evaluators join through),
+// layered over the caller's EDB base, which is probed in place and never
+// copied or mutated; non-ground facts — rare, produced only by unsafe
+// rewritten rules — stay in small per-name side buckets.
 class VariantFactStore {
  public:
-  explicit VariantFactStore(TermStore& store) : store_(store) {}
+  VariantFactStore(TermStore& store, const FactBase* edb)
+      : store_(store), edb_(edb) {}
 
   bool Insert(TermId fact) {
     if (store_.IsGround(fact)) {
+      if (edb_ != nullptr && edb_->Contains(fact)) return false;
       if (!ground_.Insert(store_, fact)) return false;
       ordered_.push_back(fact);
       return true;
@@ -44,31 +49,44 @@ class VariantFactStore {
     return true;
   }
 
-  bool ContainsGround(TermId fact) const { return ground_.Contains(fact); }
+  bool ContainsGround(TermId fact) const {
+    return (edb_ != nullptr && edb_->Contains(fact)) || ground_.Contains(fact);
+  }
 
   // Candidate facts for joining against `pattern`: index-pruned ground
-  // facts through the columnar batch probe, plus the non-ground facts
-  // sharing the pattern's ground name. The result is written into
-  // `*scratch` (a per-join-depth reusable buffer) — a snapshot, safe
-  // under concurrent Derive() insertions — and the span aliases it.
+  // facts — the EDB's first, then the derived ones, each through a frozen
+  // columnar probe — plus the non-ground facts sharing the pattern's
+  // ground name. The result is copied into `*out` (a per-join-depth
+  // reusable buffer), a snapshot safe under concurrent Derive()
+  // insertions; `*probe` is the probes' own scratch.
   std::span<const TermId> CandidatesBatch(TermId pattern,
-                                          std::vector<TermId>* scratch) const {
+                                          std::vector<TermId>* out,
+                                          std::vector<TermId>* probe) const {
+    out->clear();
     TermId name = store_.PredName(pattern);
     if (!store_.IsGround(name)) {
-      scratch->assign(ordered_.begin(), ordered_.end());
-      return *scratch;
+      if (edb_ != nullptr) {
+        out->assign(edb_->facts().begin(), edb_->facts().end());
+      }
+      out->insert(out->end(), ordered_.begin(), ordered_.end());
+      return *out;
     }
-    const size_t baseline =
-        ground_.NameBucketSize(store_, pattern) +
-        NonGroundWithName(name).size();
-    ground_.CandidatesBatch(store_, pattern, scratch, /*frozen=*/false);
     const std::vector<TermId>& nonground = NonGroundWithName(name);
-    scratch->insert(scratch->end(), nonground.begin(), nonground.end());
-    if (baseline > scratch->size()) {
-      obs::Count(obs::Counter::kUnificationsAvoided,
-                 baseline - scratch->size());
+    size_t baseline = ground_.NameBucketSize(store_, pattern) + nonground.size();
+    if (edb_ != nullptr) {
+      baseline += edb_->NameBucketSize(store_, pattern);
+      std::span<const TermId> edb =
+          edb_->CandidatesBatch(store_, pattern, probe, /*frozen=*/true);
+      out->assign(edb.begin(), edb.end());
     }
-    return *scratch;
+    std::span<const TermId> derived =
+        ground_.CandidatesBatch(store_, pattern, probe, /*frozen=*/true);
+    out->insert(out->end(), derived.begin(), derived.end());
+    out->insert(out->end(), nonground.begin(), nonground.end());
+    if (baseline > out->size()) {
+      obs::Count(obs::Counter::kUnificationsAvoided, baseline - out->size());
+    }
+    return *out;
   }
 
   /// Non-ground facts sharing the pattern's ground name (the only facts a
@@ -86,27 +104,35 @@ class VariantFactStore {
   }
 
   std::vector<TermId> WithName(TermId name) const {
-    std::vector<TermId> out = ground_.WithName(name);
+    std::vector<TermId> out;
+    if (edb_ != nullptr) out = edb_->WithName(name);
+    const std::vector<TermId>& derived = ground_.WithName(name);
+    out.insert(out.end(), derived.begin(), derived.end());
     const std::vector<TermId>& nonground = NonGroundWithName(name);
     out.insert(out.end(), nonground.begin(), nonground.end());
     return out;
   }
 
-  const std::vector<TermId>& all() const { return ordered_; }
-  size_t size() const { return ordered_.size(); }
+  /// Derived facts only: the EDB is visible in place, not counted.
+  size_t derived_size() const { return ordered_.size(); }
 
   /// Relation-size estimate for the shared join planner: the pattern's
-  /// name bucket (ground + non-ground + unnamed) or, for a variable
-  /// predicate name, the whole store.
+  /// name bucket (EDB + derived ground + non-ground + unnamed) or, for a
+  /// variable predicate name, the whole store.
   size_t EstimateForPattern(TermId pattern) const {
+    const size_t edb_size = edb_ != nullptr ? edb_->size() : 0;
     TermId name = store_.PredName(pattern);
-    if (!store_.IsGround(name)) return ordered_.size();
-    return ground_.WithName(name).size() + NonGroundWithName(name).size() +
-           NonGroundUnnamed().size();
+    if (!store_.IsGround(name)) return edb_size + ordered_.size();
+    size_t estimate = ground_.WithName(name).size() +
+                      NonGroundWithName(name).size() +
+                      NonGroundUnnamed().size();
+    if (edb_ != nullptr) estimate += edb_->WithName(name).size();
+    return estimate;
   }
 
  private:
   TermStore& store_;
+  const FactBase* edb_;
   FactBase ground_;
   std::vector<TermId> ordered_;
   std::unordered_map<TermId, std::vector<TermId>> nonground_by_name_;
@@ -118,20 +144,18 @@ const std::vector<TermId> VariantFactStore::kEmpty;
 class Evaluator {
  public:
   Evaluator(TermStore& store, const MagicProgram& magic,
-            const MagicEvalOptions& options,
-            const std::vector<TermId>* preloaded)
+            const MagicEvalOptions& options, const FactBase* edb)
       : store_(store),
         magic_(magic),
         options_(options),
-        facts_(store),
+        facts_(store, edb),
         kcache_(options.kernel_cache != nullptr ? options.kernel_cache
                                                 : &local_kernel_cache_) {
-    if (preloaded != nullptr) {
-      // EDB facts join as candidates; they never need to *trigger* rules
-      // (all rewritten rules are driven by magic/sup deltas), so they
-      // bypass the worklist.
-      for (TermId fact : *preloaded) facts_.Insert(fact);
-      obs::Count(obs::Counter::kMagicEdbPreloaded, preloaded->size());
+    // EDB facts join as candidates in place; they never need to *trigger*
+    // rules (all rewritten rules are driven by magic/sup deltas), so they
+    // never enter the worklist.
+    if (edb != nullptr) {
+      obs::Count(obs::Counter::kMagicEdbPreloaded, edb->size());
     }
   }
 
@@ -176,8 +200,17 @@ class Evaluator {
   }
 
  private:
+  // Box-firing state of one negatively-called atom (see neg_calls_).
+  static constexpr size_t kNotCalled = SIZE_MAX;
+  struct NegativeCall {
+    size_t seq = kNotCalled;  // Order of magic(P,'-'); kNotCalled before.
+    size_t unsettled = 0;
+    bool ready = false;  // Listed in ready_.
+  };
+
   void Derive(TermId fact) {
     if (result_.truncated) return;
+    if (IsDeadCall(fact)) return;
     // Cooperative cancellation, polled per derivation attempt; setting
     // `truncated` too makes every existing unwind guard stop the join.
     if (CancelRequested()) {
@@ -188,7 +221,7 @@ class Evaluator {
     if (!facts_.Insert(fact)) return;
     ++result_.facts_derived;
     obs::Count(obs::Counter::kMagicFactsDerived);
-    if (facts_.size() > options_.max_facts) {
+    if (facts_.derived_size() > options_.max_facts) {
       result_.truncated = true;
       return;
     }
@@ -198,15 +231,54 @@ class Evaluator {
       obs::Count(obs::Counter::kMagicFacts);
     }
     if (name == magic_.dn_sym && store_.arity(fact) == 2) {
+      // A dependency on a non-ground Q never settles: dns(Q) is only
+      // ever tracked for ground Q.
       auto args = store_.apply_args(fact);
-      dn_of_[args[0]].push_back(args[1]);
+      if (!store_.IsGround(args[1]) || settled_.count(args[1]) == 0) {
+        ++neg_calls_[args[0]].unsettled;
+        if (store_.IsGround(args[1])) waiters_[args[1]].push_back(args[0]);
+      }
+    } else if (name == magic_.dns_sym && store_.arity(fact) == 1 &&
+               store_.IsGround(fact)) {
+      TermId q = store_.apply_args(fact)[0];
+      settled_.insert(q);
+      auto it = waiters_.find(q);
+      if (it != waiters_.end()) {
+        for (TermId p : it->second) {
+          NegativeCall& call = neg_calls_[p];
+          if (--call.unsettled == 0) MarkReady(p, &call);
+        }
+        waiters_.erase(it);
+      }
     } else if (name == magic_.magic_sym && store_.arity(fact) == 2) {
       auto args = store_.apply_args(fact);
       if (args[1] == magic_.minus_sym && store_.IsGround(args[0])) {
-        pending_minus_.push_back(args[0]);
+        NegativeCall& call = neg_calls_[args[0]];
+        call.seq = next_call_seq_++;
+        if (call.unsettled == 0) MarkReady(args[0], &call);
       }
     }
     worklist_.push_back(fact);
+  }
+
+  void MarkReady(TermId p, NegativeCall* call) {
+    if (call->seq == kNotCalled || call->ready) return;
+    call->ready = true;
+    ready_.push_back(p);
+  }
+
+  // magic(A,'+') and dp(P,A) facts are consumed only by rules whose body
+  // holds a source IDB head in A's place; when A can unify with none
+  // (typically M(X,Y) with M bound to an EDB name), no rule can use them.
+  bool IsDeadCall(TermId fact) const {
+    if (store_.arity(fact) != 2) return false;
+    TermId name = store_.PredName(fact);
+    auto args = store_.apply_args(fact);
+    if (name == magic_.magic_sym) {
+      return args[1] == magic_.plus_sym && !magic_.MayCallIdb(store_, args[0]);
+    }
+    if (name == magic_.dp_sym) return !magic_.MayCallIdb(store_, args[1]);
+    return false;
   }
 
   // Joins the body positions `order[depth..]` of `rule` (order[0] is the
@@ -222,7 +294,9 @@ class Evaluator {
     TermId pattern = subst.Apply(store_, rule.body[order[depth]].atom);
     if (store_.IsGround(pattern)) {
       // Fast path: a ground subgoal is satisfied by the identical fact or
-      // by a non-ground fact subsuming it — no bucket scan.
+      // by a non-ground fact subsuming it — no bucket scan. Subsumption is
+      // one-way matching into a throwaway substitution: the goal is
+      // ground, so the witness binds none of the rule's variables.
       if (facts_.ContainsGround(pattern)) {
         JoinFrom(rule, order, depth + 1, subst);
         if (result_.truncated) return;
@@ -231,22 +305,22 @@ class Evaluator {
            {&facts_.NonGroundWithName(store_.PredName(pattern)),
             &facts_.NonGroundUnnamed()}) {
         for (TermId fact : *bucket) {
-          Substitution extended = subst;
-          TermId target = RenameApart(store_, fact, nullptr);
-          if (UnifyInto(store_, target, pattern, &extended)) {
-            JoinFrom(rule, order, depth + 1, std::move(extended));
+          Substitution witness;
+          if (MatchInto(store_, fact, pattern, &witness)) {
+            JoinFrom(rule, order, depth + 1, subst);
             break;  // One subsumption witness suffices for a ground goal.
           }
-          if (result_.truncated) return;
         }
+        if (result_.truncated) return;
       }
       return;
     }
     // Snapshot into this depth's scratch frame: new facts derived below
     // re-trigger via the worklist. Deeper recursion uses deeper frames,
     // so the span stays stable across the whole candidate walk.
+    Frame& frame = frames_[depth];
     std::span<const TermId> candidates =
-        facts_.CandidatesBatch(pattern, &frames_[depth]);
+        facts_.CandidatesBatch(pattern, &frame.candidates, &frame.probe);
     for (TermId fact : candidates) {
       TermId target = fact;
       if (!store_.IsGround(fact)) {
@@ -260,26 +334,22 @@ class Evaluator {
     }
   }
 
+  // Unifies body position `position` of the rule with `fact` and joins
+  // the rest. The rule's own variables are used as they are: `fact` and
+  // every non-ground join candidate are renamed apart before unifying, so
+  // nothing they carry can collide with them. (Derived facts may keep a
+  // rule's unbound variables; the renaming covers them too.)
   void TriggerAt(size_t rule_index, size_t position, TermId fact) {
     const Rule& rule = magic_.rules.rules[rule_index];
-    // Rename the rule apart so its variables cannot collide with the
-    // fact's (facts derived from renamed rules already carry fresh vars).
-    Rule renamed = RenameRuleApart(store_, rule);
-    TermId target = fact;
-    if (!store_.IsGround(fact)) target = RenameApart(store_, fact, nullptr);
     Substitution subst;
-    if (!UnifyInto(store_, renamed.body[position].atom, target, &subst)) {
-      return;
-    }
+    if (!UnifyInto(store_, rule.body[position].atom, fact, &subst)) return;
     // Remaining positions joined in shared-planner order, with the
     // trigger position pinned first (its variables are already bound).
-    // With rule compilation on, the order comes from the compiled form
-    // of the *original* rule — renaming is a variable bijection, and the
-    // estimator only reads (ground) predicate names, so the plan is
-    // identical while the cached analysis skips the per-trigger variable
-    // traversals. The join itself keeps the unification machinery:
-    // variant facts may be non-ground, which MatchResolvedInto's
-    // ground-binding precondition rules out.
+    // With rule compilation on, the order comes from the compiled rule,
+    // whose cached analysis skips the per-trigger variable traversals.
+    // The join itself keeps the unification machinery: variant facts may
+    // be non-ground, which MatchResolvedInto's ground-binding
+    // precondition rules out.
     std::vector<size_t> order;
     if (RuleCompilationEnabled()) {
       std::shared_ptr<const KernelProgram> program = kcache_->Get(
@@ -289,8 +359,8 @@ class Evaluator {
       order = program->order;
     } else {
       std::vector<TermId> body_atoms;
-      body_atoms.reserve(renamed.body.size());
-      for (const Literal& lit : renamed.body) body_atoms.push_back(lit.atom);
+      body_atoms.reserve(rule.body.size());
+      for (const Literal& lit : rule.body) body_atoms.push_back(lit.atom);
       order = PlanJoinOrder(
           store_, body_atoms,
           [&](TermId atom) { return facts_.EstimateForPattern(atom); },
@@ -299,7 +369,7 @@ class Evaluator {
     // One scratch frame per join depth, sized up-front so JoinFrom never
     // reallocates the frame array mid-recursion.
     if (frames_.size() < order.size() + 1) frames_.resize(order.size() + 1);
-    JoinFrom(renamed, order, 1, std::move(subst));
+    JoinFrom(rule, order, 1, std::move(subst));
   }
 
   void Propagate() {
@@ -312,6 +382,9 @@ class Evaluator {
       TermId fact = worklist_.front();
       worklist_.pop_front();
       TermId name = store_.PredName(fact);
+      // A non-ground fact is renamed apart once for all its triggers:
+      // each trigger unifies into its own substitution.
+      if (!store_.IsGround(fact)) fact = RenameApart(store_, fact, nullptr);
       auto it = by_name_.find(name);
       if (it != by_name_.end()) {
         for (const auto& [r, i] : it->second) TriggerAt(r, i, fact);
@@ -339,31 +412,24 @@ class Evaluator {
   // returns how many fired. Batch firing is sound: a candidate is
   // eligible only when all of its recorded (transitively complete)
   // negative dependencies are settled, so no other box in the same batch
-  // can change its truth.
+  // can change its truth. Only the calls whose unsettled count reached 0
+  // since the last batch are examined, and they fire in call order.
   size_t FireEligibleBoxes() {
-    size_t fired = 0;
-    size_t keep = 0;
-    for (size_t i = 0; i < pending_minus_.size(); ++i) {
-      TermId p = pending_minus_[i];
+    std::vector<std::pair<size_t, TermId>> batch;
+    for (TermId p : ready_) {
+      NegativeCall& call = neg_calls_[p];
+      call.ready = false;
+      // A dependency recorded since it became ready puts it back on
+      // hold; reaching 0 again re-marks it.
+      if (call.unsettled > 0) continue;
       TermId box_p = store_.MakeApply(magic_.box_sym, {p});
-      if (facts_.ContainsGround(box_p) || CurrentlyTrue(p)) {
-        continue;  // Settled: drop from the pending list.
-      }
-      bool all_settled = true;
-      auto it = dn_of_.find(p);
-      if (it != dn_of_.end()) {
-        for (TermId q : it->second) {
-          TermId dns_q = store_.MakeApply(magic_.dns_sym, {q});
-          if (!facts_.ContainsGround(dns_q)) {
-            all_settled = false;
-            break;
-          }
-        }
-      }
-      if (!all_settled) {
-        pending_minus_[keep++] = p;
-        continue;
-      }
+      if (facts_.ContainsGround(box_p) || CurrentlyTrue(p)) continue;
+      batch.emplace_back(call.seq, box_p);
+    }
+    ready_.clear();
+    std::sort(batch.begin(), batch.end());
+    size_t fired = 0;
+    for (const auto& [seq, box_p] : batch) {
       if (result_.box_firings >= options_.max_box_firings) {
         result_.truncated = true;
         break;
@@ -373,14 +439,14 @@ class Evaluator {
       ++fired;
       Derive(box_p);
     }
-    pending_minus_.resize(keep);
     return fired;
   }
 
   void CollectAnswers() {
     // Answers: ground facts that are instances of the query.
     std::vector<TermId> scratch;
-    for (TermId fact : facts_.CandidatesBatch(magic_.query, &scratch)) {
+    std::vector<TermId> probe;
+    for (TermId fact : facts_.CandidatesBatch(magic_.query, &scratch, &probe)) {
       if (!store_.IsGround(fact)) continue;
       if (store_.PredName(fact) == magic_.magic_sym ||
           store_.PredName(fact) == magic_.box_sym) {
@@ -434,13 +500,23 @@ class Evaluator {
   std::deque<TermId> worklist_;
   std::unordered_map<TermId, std::vector<std::pair<size_t, size_t>>> by_name_;
   std::vector<std::pair<size_t, size_t>> wildcard_;
-  // Incremental indices for box firing: negative dependencies by caller,
-  // and the ground negatively-called atoms not yet settled.
-  std::unordered_map<TermId, std::vector<TermId>> dn_of_;
-  std::vector<TermId> pending_minus_;
+  // Incremental indices for box firing. Per negatively-called P: when
+  // magic(P,'-') was derived and how many of its recorded negative
+  // dependencies dn(P,Q) are unsettled (no dns(Q) yet). Per unsettled
+  // ground Q: the callers waiting on it. `ready_` holds the called P
+  // whose count reached 0 since the last batch.
+  std::unordered_map<TermId, NegativeCall> neg_calls_;
+  std::unordered_map<TermId, std::vector<TermId>> waiters_;
+  std::unordered_set<TermId> settled_;
+  std::vector<TermId> ready_;
+  size_t next_call_seq_ = 0;
   // Per-join-depth candidate buffers reused across every trigger and
   // semi-naive propagation (see CandidatesBatch).
-  std::vector<std::vector<TermId>> frames_;
+  struct Frame {
+    std::vector<TermId> candidates;
+    std::vector<TermId> probe;
+  };
+  std::vector<Frame> frames_;
   MagicEvalResult result_;
 };
 
@@ -448,9 +524,9 @@ class Evaluator {
 
 MagicEvalResult EvaluateMagic(TermStore& store, const MagicProgram& magic,
                               const MagicEvalOptions& options,
-                              const std::vector<TermId>* preloaded) {
+                              const FactBase* edb) {
   obs::ScopedPhaseTimer timer(obs::Phase::kMagicEval);
-  Evaluator evaluator(store, magic, options, preloaded);
+  Evaluator evaluator(store, magic, options, edb);
   return evaluator.Run();
 }
 

@@ -9,6 +9,7 @@
 
 namespace hilog {
 
+class FactBase;
 class KernelCache;
 
 /// Truth status of a ground atom after magic evaluation.
@@ -22,6 +23,7 @@ enum class QueryStatus : uint8_t {
 };
 
 struct MagicEvalOptions {
+  /// Cap on derived facts; EDB facts probed in place do not count.
   size_t max_facts = 500000;
   size_t max_box_firings = 100000;
   /// Kernel compilation cache (src/eval/kernel.h), normally the owning
@@ -59,13 +61,16 @@ struct MagicEvalResult {
 /// (open queries seed a non-ground magic atom) via unification joins with
 /// variant-based deduplication.
 ///
-/// `preloaded` (optional) supplies ground EDB facts directly, pairing
-/// with MagicRewriteOptions::include_edb_facts == false: the facts join
-/// as candidates without flowing through the derivation worklist, so a
-/// query's cost depends on the explored fragment, not on |EDB|.
+/// `edb` (optional) supplies ground EDB facts, pairing with
+/// MagicRewriteOptions::include_edb_facts == false: the evaluator layers
+/// its derived facts over this base and probes it in place — never
+/// copying, mutating or worklisting its facts — so a query's cost depends
+/// on the explored fragment, not on |EDB|. The base must not change
+/// during the call; its lazily built key columns are extended, so it must
+/// not be probed concurrently either.
 MagicEvalResult EvaluateMagic(TermStore& store, const MagicProgram& magic,
                               const MagicEvalOptions& options,
-                              const std::vector<TermId>* preloaded = nullptr);
+                              const FactBase* edb = nullptr);
 
 }  // namespace hilog
 

@@ -192,13 +192,21 @@ void LineServer::ServeConnection(int fd) {
       WireRequest request;
       std::string error;
       std::string response;
-      if (!ParseWireRequest(line, &request, &error)) {
+      const bool parsed = ParseWireRequest(line, &request, &error);
+      if (!parsed) {
         response = EncodeErrorResponse(error, /*id=*/"");
       } else {
         response = Dispatch(request);
       }
       response.push_back('\n');
       if (!SendAll(fd, response)) {
+        open = false;
+        break;
+      }
+      // The stop comes only after the reply is on the wire: once it is
+      // requested, Wait() returns and Stop() may shut this fd down.
+      if (parsed && request.op == "shutdown") {
+        RequestStop();
         open = false;
         break;
       }
@@ -233,7 +241,7 @@ std::string LineServer::Dispatch(const WireRequest& request) {
     return out;
   }
   if (request.op == "shutdown") {
-    RequestStop();
+    // The connection loop requests the stop once this reply is sent.
     std::string out = "{\"status\":\"ok\"";
     if (!request.id.empty()) out += ",\"id\":" + JsonQuote(request.id);
     out += ",\"stopping\":true}";

@@ -71,7 +71,8 @@ class LineServer {
   }
 
   /// Handles one decoded request; exposed for tests. Returns the
-  /// response line (no trailing newline).
+  /// response line (no trailing newline). A "shutdown" op only answers:
+  /// the connection loop requests the stop after sending that reply.
   std::string Dispatch(const WireRequest& request);
 
  private:

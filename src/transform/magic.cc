@@ -1,5 +1,6 @@
 #include "src/transform/magic.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 namespace hilog {
@@ -45,7 +46,47 @@ std::vector<std::vector<TermId>> SupplementaryVars(const TermStore& store,
   return sup;
 }
 
+uint64_t HeadKey(TermId name, size_t arity) {
+  return uint64_t{name} << 32 | static_cast<uint32_t>(arity);
+}
+
+// Unifiability over-approximated without a substitution: a variable
+// matches anything and repeated variables are not tied together, so
+// false is a proof that `a` and `b` do not unify while true may be
+// spurious. Past `depth` levels it gives up and answers true.
+constexpr int kMayUnifyDepth = 32;
+
+bool MayUnify(const TermStore& store, TermId a, TermId b, int depth) {
+  if (a == b || store.IsVariable(a) || store.IsVariable(b)) return true;
+  // Hash-consing: distinct ground terms are distinct terms.
+  if (store.IsGround(a) && store.IsGround(b)) return false;
+  if (!store.IsApply(a) || !store.IsApply(b)) return false;
+  if (store.arity(a) != store.arity(b)) return false;
+  if (depth == 0) return true;
+  if (!MayUnify(store, store.apply_name(a), store.apply_name(b), depth - 1)) {
+    return false;
+  }
+  auto args_a = store.apply_args(a);
+  auto args_b = store.apply_args(b);
+  for (size_t i = 0; i < args_a.size(); ++i) {
+    if (!MayUnify(store, args_a[i], args_b[i], depth - 1)) return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+bool MagicProgram::MayCallIdb(const TermStore& store, TermId atom) const {
+  TermId name = store.PredName(atom);
+  if (!store.IsGround(name)) return true;
+  if (ground_head_keys.count(HeadKey(name, store.arity(atom))) > 0) {
+    return true;
+  }
+  for (TermId head : open_heads) {
+    if (MayUnify(store, atom, head, kMayUnifyDepth)) return true;
+  }
+  return false;
+}
 
 std::string MagicProgram::BoxRuleDescription(const TermStore& store) const {
   return std::string(store.text(box_sym)) +
@@ -55,15 +96,32 @@ std::string MagicProgram::BoxRuleDescription(const TermStore& store) const {
 std::unordered_set<TermId> FactOnlyPredicates(const TermStore& store,
                                               const Program& program) {
   std::unordered_map<TermId, bool> has_rule_body;
+  std::vector<TermId> open_names;
   for (const Rule& rule : program.rules) {
     TermId name = store.PredName(rule.head);
-    if (!store.IsGround(name)) continue;
-    auto [it, inserted] = has_rule_body.emplace(name, !rule.body.empty());
-    if (!inserted) it->second = it->second || !rule.body.empty();
+    if (!store.IsGround(name)) {
+      open_names.push_back(name);
+      continue;
+    }
+    // A non-ground fact such as p(X) is a rule for the EDB's purposes:
+    // the engine's EDB base holds ground facts only.
+    const bool ruled = !rule.body.empty() || !store.IsGround(rule.head);
+    auto [it, inserted] = has_rule_body.emplace(name, ruled);
+    if (!inserted) it->second = it->second || ruled;
   }
   std::unordered_set<TermId> edb;
   for (const auto& [name, ruled] : has_rule_body) {
-    if (!ruled) edb.insert(name);
+    if (ruled) continue;
+    // A head whose name is not ground, such as G(X,Y), may derive atoms
+    // of this name as well: then its facts are not the whole relation.
+    bool open = false;
+    for (TermId open_name : open_names) {
+      if (MayUnify(store, open_name, name, kMayUnifyDepth)) {
+        open = true;
+        break;
+      }
+    }
+    if (!open) edb.insert(name);
   }
   return edb;
 }
@@ -108,9 +166,16 @@ MagicProgram MagicRewrite(TermStore& store, const Program& program,
         store.IsGround(head_name) && options.edb_names.count(head_name) > 0;
     if (head_edb) {
       // EDB relations are copied verbatim (they are facts) — unless the
-      // caller preloads them into the evaluator instead.
+      // evaluator probes the caller's EDB base in place instead.
       if (options.include_edb_facts) out.rules.Add(rule);
       continue;
+    }
+
+    if (store.IsGround(head_name)) {
+      out.ground_head_keys.insert(HeadKey(head_name, store.arity(rule.head)));
+    } else if (std::find(out.open_heads.begin(), out.open_heads.end(),
+                         rule.head) == out.open_heads.end()) {
+      out.open_heads.push_back(rule.head);
     }
 
     std::vector<std::vector<TermId>> sup_vars = SupplementaryVars(store, rule);

@@ -1,8 +1,10 @@
 #ifndef HILOG_TRANSFORM_MAGIC_H_
 #define HILOG_TRANSFORM_MAGIC_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "src/lang/ast.h"
 #include "src/term/term_store.h"
@@ -19,8 +21,8 @@ struct MagicRewriteOptions {
   std::unordered_set<TermId> edb_names;
 
   /// When false, facts of EDB predicates are *not* copied into the
-  /// rewritten program; the caller preloads them into the evaluator
-  /// instead (EvaluateMagic's `preloaded` argument). This makes per-query
+  /// rewritten program; the evaluator probes the caller's fact base in
+  /// place instead (EvaluateMagic's `edb` argument). This makes per-query
   /// cost independent of the EDB size.
   bool include_edb_facts = true;
 };
@@ -47,6 +49,20 @@ struct MagicProgram {
   TermId dn_sym = kNoTerm;      // dn(P,Q): negative dependency
   TermId dns_sym = kNoTerm;     // dns(Q) = dn'(Q): Q settled
 
+  /// Heads of the rewritten source IDB rules: (name, arity) keys of the
+  /// heads with a ground predicate name, and the heads whose name is not
+  /// ground. These are the only atoms a positive call can reach: the
+  /// consumers of magic(A,'+') are the sup_{r,0} rules' magic(H_r,S), and
+  /// those of dp(P,A) the dp/dn rules' dp(P,H_r).
+  std::unordered_set<uint64_t> ground_head_keys;
+  std::vector<TermId> open_heads;
+
+  /// False only if `atom` provably unifies with no source IDB head, so a
+  /// magic(atom,'+') or dp(P,atom) fact could feed no rule. A call on an
+  /// EDB relation through a variable name, M(X,Y) with M bound to an EDB
+  /// name, is the common case. Conservative: any doubt answers true.
+  bool MayCallIdb(const TermStore& store, TermId atom) const;
+
   /// Human-readable rendition of the native box rule, for documentation
   /// and the Example 6.6 comparison.
   std::string BoxRuleDescription(const TermStore& store) const;
@@ -71,7 +87,9 @@ MagicProgram MagicRewrite(TermStore& store, const Program& program,
                           TermId query, const MagicRewriteOptions& options);
 
 /// Collects the predicate names of `program` that are defined only by
-/// facts (a sound default for MagicRewriteOptions::edb_names).
+/// ground facts and that no rule head with a non-ground name, such as
+/// G(X,Y), could also define (a sound default for
+/// MagicRewriteOptions::edb_names).
 std::unordered_set<TermId> FactOnlyPredicates(const TermStore& store,
                                               const Program& program);
 

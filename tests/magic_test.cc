@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/engine.h"
+#include "src/eval/fact_base.h"
 #include "src/eval/magic_eval.h"
 #include "src/lang/parser.h"
 #include "src/lang/printer.h"
@@ -217,6 +218,58 @@ TEST_F(MagicTest, FactOnlyPredicatesDetection) {
   EXPECT_FALSE(edb.count(T("w")) > 0);
 }
 
+// A head whose name is not ground can define atoms of a fact-only name
+// too, so that name is not EDB: its facts are not the whole relation.
+TEST_F(MagicTest, FactOnlyPredicatesExcludeNamesAnOpenHeadDefines) {
+  Program p = P("d(G)(X) :- made(G), base(X). made(e). base(1)."
+                "e(1). q :- e(2).");
+  auto edb = FactOnlyPredicates(store_, p);
+  EXPECT_TRUE(edb.count(T("e")) > 0);  // d(G) can only name d(...).
+  p = P("G(X) :- made(G), base(X). made(e). base(2). e(1). q :- e(2).");
+  edb = FactOnlyPredicates(store_, p);
+  EXPECT_FALSE(edb.count(T("e")) > 0);
+  EXPECT_EQ(Eval("G(X) :- made(G), base(X). made(e). base(2). e(1)."
+                 "q :- e(2).",
+                 "q")
+                .ground_status,
+            QueryStatus::kTrue);
+}
+
+// The engine's EDB base holds ground facts only, so a relation with a
+// non-ground fact is not EDB; a query through it must still see it.
+TEST_F(MagicTest, NonGroundFactMakesRelationIdb) {
+  Program p = P("p(X). e(1). q :- p(a).");
+  auto edb = FactOnlyPredicates(store_, p);
+  EXPECT_FALSE(edb.count(T("p")) > 0);
+  EXPECT_TRUE(edb.count(T("e")) > 0);
+  Engine engine;
+  ASSERT_EQ(engine.Load("p(X). q :- p(a)."), "");
+  Engine::QueryAnswer answer = engine.Query("q");
+  ASSERT_TRUE(answer.ok) << answer.error;
+  EXPECT_EQ(answer.ground_status, QueryStatus::kTrue);
+}
+
+// A positive call that no source IDB head can take feeds no rule, so the
+// evaluator does not derive it; every other call is kept.
+TEST_F(MagicTest, MayCallIdbRejectsOnlyProvablyDeadCalls) {
+  Program p = P("w(M)(X) :- g(M), M(X,Y), ~w(M)(Y). t(X) :- e(X)."
+                "g(m). m(a,b). e(a).");
+  MagicRewriteOptions options;
+  options.edb_names = FactOnlyPredicates(store_, p);
+  MagicProgram magic = MagicRewrite(store_, p, T("w(m)(a)"), options);
+  EXPECT_FALSE(magic.MayCallIdb(store_, T("m(a,Y)")));  // EDB via M.
+  EXPECT_FALSE(magic.MayCallIdb(store_, T("t(a,b)")));  // Wrong arity.
+  EXPECT_FALSE(magic.MayCallIdb(store_, T("w(m)(a,b)")));
+  EXPECT_TRUE(magic.MayCallIdb(store_, T("t(X)")));
+  EXPECT_TRUE(magic.MayCallIdb(store_, T("w(m)(b)")));
+  EXPECT_TRUE(magic.MayCallIdb(store_, T("w(M)(b)")));
+  EXPECT_TRUE(magic.MayCallIdb(store_, T("M(a,b)")));  // Name unknown.
+
+  MagicEvalResult result = Eval(
+      "w(M)(X) :- g(M), M(X,Y), ~w(M)(Y). g(m). m(a,b). m(b,c).", "w(m)(a)");
+  EXPECT_EQ(result.ground_status, QueryStatus::kSettledFalse);
+}
+
 TEST_F(MagicTest, StratifiedNegationThroughTwoLevels) {
   const char* program =
       "top(X) :- mid(X), ~bot(X)."
@@ -241,6 +294,48 @@ TEST_F(MagicTest, DeepNegationChainSettlesInOrder) {
   EXPECT_EQ(odd.ground_status, QueryStatus::kTrue);
   MagicEvalResult even = Eval(program, "w(0)");
   EXPECT_EQ(even.ground_status, QueryStatus::kSettledFalse);
+}
+
+// max_facts caps *derived* facts. The EDB is probed in place and does
+// not count, so a query over an EDB larger than the cap still answers.
+TEST_F(MagicTest, MaxFactsCountsDerivedFactsOnly) {
+  std::string text = "w(X) :- m(X,Y), ~w(Y).";
+  for (int i = 0; i < 1000; ++i) {
+    text += "m(n" + std::to_string(i) + ",n" + std::to_string(i + 1) + ").";
+  }
+  Program p = P(text);
+  MagicRewriteOptions rewrite;
+  rewrite.edb_names = FactOnlyPredicates(store_, p);
+  rewrite.include_edb_facts = false;
+  FactBase edb;
+  for (const Rule& rule : p.rules) {
+    if (rule.IsFact()) edb.Insert(store_, rule.head);
+  }
+  ASSERT_EQ(edb.size(), 1000u);
+  MagicEvalOptions options;
+  options.max_facts = 100;
+  // The chain n990 -> ... -> n1000 has ten moves: w(n990) is lost.
+  MagicProgram magic = MagicRewrite(store_, p, T("w(n990)"), rewrite);
+  MagicEvalResult result = EvaluateMagic(store_, magic, options, &edb);
+  EXPECT_FALSE(result.truncated);
+  EXPECT_EQ(result.ground_status, QueryStatus::kSettledFalse);
+  EXPECT_LE(result.facts_derived, options.max_facts);
+
+  // Past the cap, derivation stops: a query whose relevant set is the
+  // whole chain is truncated and left unsettled.
+  magic = MagicRewrite(store_, p, T("w(n0)"), rewrite);
+  result = EvaluateMagic(store_, magic, options, &edb);
+  EXPECT_TRUE(result.truncated);
+  EXPECT_EQ(result.ground_status, QueryStatus::kUnsettled);
+
+  // The engine applies the same cap through its options.
+  EngineOptions engine_options;
+  engine_options.magic.max_facts = 100;
+  Engine engine(engine_options);
+  ASSERT_EQ(engine.Load(text), "");
+  Engine::QueryAnswer answer = engine.Query("w(n991)");
+  ASSERT_TRUE(answer.ok) << answer.error;
+  EXPECT_EQ(answer.ground_status, QueryStatus::kTrue);
 }
 
 }  // namespace

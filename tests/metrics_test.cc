@@ -476,6 +476,62 @@ TEST(EngineMetricsTest, WinChainExactMagicQueryCounters) {
   EXPECT_EQ(m.value(obs::Counter::kWfsRounds), 0u);
 }
 
+// Example 6.3's parameterized game on an n-position chain mv(p0,p1),
+// ..., mv(p(n-1),pn): winning(mv)(p0) has the whole chain relevant.
+std::string HiLogGameChain(int n) {
+  std::string text =
+      "winning(M)(X) :- game(M), M(X,Y), ~winning(M)(Y).\ngame(mv).\n";
+  for (int i = 0; i < n; ++i) {
+    text += "mv(p" + std::to_string(i) + ",p" + std::to_string(i + 1) +
+            ").\n";
+  }
+  return text;
+}
+
+struct ChainQueryCounters {
+  uint64_t facts_derived = 0;
+  uint64_t magic_facts = 0;
+  uint64_t interned = 0;
+};
+
+ChainQueryCounters QueryHiLogGameChain(int n) {
+  Engine engine;
+  EXPECT_EQ(engine.Load(HiLogGameChain(n)), "");
+  engine.metrics().Reset();
+  Engine::QueryAnswer answer = engine.Query("winning(mv)(p0)");
+  EXPECT_TRUE(answer.ok) << answer.error;
+  // pn has no move, so the positions alternate lost/won from the end.
+  EXPECT_EQ(answer.ground_status, n % 2 == 1 ? QueryStatus::kTrue
+                                             : QueryStatus::kSettledFalse);
+  const obs::MetricsRegistry& m = engine.metrics();
+  return {m.value(obs::Counter::kMagicFactsDerived),
+          m.value(obs::Counter::kMagicFacts),
+          m.value(obs::Counter::kTermsInterned)};
+}
+
+// Pins the HiLog magic query's work on a 64-position chain. The call
+// M(X,Y) with M bound to the EDB name mv derives no magic(mv(..),'+') or
+// dp(.., mv(..)) facts (no rule could consume them), so the magic facts
+// are the query's '+' seed and one '-' call per position; and triggers
+// intern no renamed copies of the rules.
+TEST(EngineMetricsTest, HiLogChainExactMagicQueryCounters) {
+  ChainQueryCounters c = QueryHiLogGameChain(64);
+  EXPECT_EQ(c.facts_derived, 486u);
+  EXPECT_EQ(c.magic_facts, 66u);
+  EXPECT_EQ(c.interned, 1527u);
+}
+
+// What a query interns grows linearly with the relevant chain: a 4x
+// longer chain may intern at most 5x as much (quadratic growth is 16x).
+TEST(EngineMetricsTest, HiLogChainInterningGrowsLinearly) {
+  ChainQueryCounters small = QueryHiLogGameChain(250);
+  ChainQueryCounters large = QueryHiLogGameChain(1000);
+  ASSERT_GT(small.interned, 0u);
+  EXPECT_LE(large.interned, 5 * small.interned)
+      << small.interned << " -> " << large.interned;
+  EXPECT_LE(large.facts_derived, 5 * small.facts_derived);
+}
+
 TEST(EngineMetricsTest, CountersAreDeterministicAcrossRuns) {
   auto run = [] {
     Engine engine;

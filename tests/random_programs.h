@@ -63,6 +63,63 @@ inline std::string RandomGameProgram(unsigned seed, bool cyclic = false,
   return text;
 }
 
+// A random HiLog game program whose parameterized rule calls its move
+// relation through a variable name, M(X,Y), with game(M) binding M to
+// relations of every kind a magic rewrite must tell apart:
+//   g0       facts only (EDB);
+//   g1       rules only, over e1 with a negated guard (IDB);
+//   g2       both facts and a rule;
+//   d(k)     a rule whose head name d(G) is not ground;
+//   g3       (odd seeds) the bare variable-named head G(X,Y), which
+//            through made(g0) also adds moves to g0.
+// First-order twins w_gK(X) call g0..g2 by their ground names. Moves go
+// forward only, so the program is modularly stratified left to right.
+inline std::string RandomMoveKindsGameProgram(unsigned seed,
+                                              int positions = 5) {
+  std::mt19937 rng(seed);
+  const bool bare_head = seed % 2 == 1;
+  std::string text =
+      "winning(M)(X) :- game(M), M(X,Y), ~winning(M)(Y).\n"
+      "g1(X,Y) :- e1(X,Y), ~blocked(X).\n"
+      "g2(X,Y) :- e2(X,Y).\n"
+      "d(G)(X,Y) :- dmade(G), dedge(G,X,Y).\n"
+      "dmade(k).\n"
+      "game(g0).\ngame(g1).\ngame(g2).\ngame(d(k)).\n";
+  for (const char* g : {"g0", "g1", "g2"}) {
+    text += std::string("w_") + g + "(X) :- " + g + "(X,Y), ~w_" + g +
+            "(Y).\n";
+  }
+  if (bare_head) {
+    text += "G(X,Y) :- made(G), edge(G,X,Y).\nmade(g3).\nmade(g0).\n"
+            "game(g3).\n";
+  }
+  auto pos = [](int i) { return "n" + std::to_string(i); };
+  for (int i = 0; i < positions; ++i) {
+    // One or two forward moves per position and relation.
+    auto move = [&]() {
+      int to = i + 1 + static_cast<int>(rng() % 2);
+      if (to > positions) to = positions;
+      return "(" + pos(i) + "," + pos(to) + ")";
+    };
+    if (rng() % 4 != 0) text += "g0" + move() + ".\n";
+    if (rng() % 4 != 0) text += "e1" + move() + ".\n";
+    if (rng() % 4 == 0) text += "blocked(" + pos(i) + ").\n";
+    if (rng() % 4 != 0) {
+      text += std::string(rng() % 2 == 0 ? "g2" : "e2") + move() + ".\n";
+    }
+    if (rng() % 4 != 0) {
+      std::string m = move();
+      text += "dedge(k," + m.substr(1) + ".\n";
+    }
+    if (bare_head && rng() % 3 == 0) {
+      std::string m = move();
+      text += "edge(" + std::string(rng() % 2 == 0 ? "g3," : "g0,") +
+              m.substr(1) + ".\n";
+    }
+  }
+  return text;
+}
+
 // A random pool of ground HiLog facts over plain and compound predicate
 // names (p, winning(move1), f(g)) with symbol and nested-application
 // arguments — the workload for index-vs-full-scan equivalence checks.

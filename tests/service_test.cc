@@ -929,6 +929,26 @@ TEST(LineServerTest, ShutdownOpStopsServer) {
   EXPECT_TRUE(fixture.server->stopping());
 }
 
+// hilog_server's main thread runs Wait() then Stop(), and Stop() shuts
+// every connection down. The shutdown reply must be sent before the stop
+// is requested, or that teardown can race it off the wire.
+TEST(LineServerTest, ShutdownReplyIsNeverLost) {
+  for (int round = 0; round < 20; ++round) {
+    ServerFixture fixture("", /*threads=*/1);
+    TestClient client(fixture.server->port());
+    ASSERT_TRUE(client.connected());
+    std::thread stopper([&] {
+      fixture.server->Wait();
+      fixture.server->Stop();
+    });
+    std::string got =
+        client.RoundTrip(R"js({"op":"shutdown","id":"s"})js");
+    EXPECT_EQ(got, R"js({"status":"ok","id":"s","stopping":true})js")
+        << "round " << round;
+    stopper.join();
+  }
+}
+
 // ---- Admin surface (metrics / healthz / statusz / slow-query) ----------
 
 TEST(AdminOpsTest, MetricsExpositionParsesAndHasLatencyHistogram) {
